@@ -6,7 +6,8 @@
 //! in the paper's three shapes (§2):
 //!
 //! * **daemons** — [`TopologyDaemon`] (LLDP discovery → `peer` symlinks),
-//!   [`RouterDaemon`] (reactive exact-match paths), [`LearningSwitch`],
+//!   [`RouterDaemon`] (reactive exact-match paths over a notify-invalidated
+//!   [`TopologyView`]), [`LearningSwitch`],
 //!   [`ArpResponder`], [`DhcpDaemon`], [`SliceDaemon`] /
 //!   [`BigSwitchDaemon`] (view translation);
 //! * **occasional programs** — [`audit()`](audit::audit) and
@@ -42,5 +43,5 @@ pub use middlebox::{ConnState, MiddleboxInstance};
 pub use protocols::{host_registry, register_host, ArpResponder, DhcpDaemon};
 pub use router::RouterDaemon;
 pub use slicer::{intersect, BigSwitchDaemon, SliceDaemon, BIG_SWITCH};
-pub use topology::{ingress_ports, shortest_path, TopologyDaemon};
+pub use topology::{TopologyDaemon, TopologyView};
 pub use whatif::WhatIf;

@@ -7,6 +7,11 @@
 //! bump, and installed by whichever driver manages each switch. The daemon
 //! learns host locations from packets arriving on edge ports (ports with
 //! no `peer` symlink).
+//!
+//! The fabric's links come from a [`TopologyView`]: walked once, then
+//! kept valid by notify watches, so a warm packet-in reads nothing under
+//! `ports/`. Each hop's flow is written through its switch's flows
+//! directory descriptor — `mkdirat` plus one batched write.
 
 use std::collections::HashMap;
 
@@ -14,12 +19,13 @@ use yanc::{EventSubscription, FlowSpec, PacketInRecord, YancFs};
 use yanc_openflow::{port_no, Action, FlowMatch};
 use yanc_packet::{EtherType, MacAddr, PacketSummary};
 
-use crate::topology::{ingress_ports, shortest_path};
+use crate::topology::TopologyView;
 
 /// The reactive router.
 pub struct RouterDaemon {
     yfs: YancFs,
     sub: EventSubscription,
+    topo: TopologyView,
     /// Learned MAC locations: `(switch, port)`.
     locations: HashMap<MacAddr, (String, u16)>,
     /// Idle timeout for installed paths (seconds; 0 = permanent).
@@ -28,6 +34,9 @@ pub struct RouterDaemon {
     pub paths_installed: usize,
     /// Count of floods (metrics).
     pub floods: usize,
+    /// Walks of `/net` by the topology view (metrics): one at start, then
+    /// one per link change or `reload`.
+    pub topology_rebuilds: usize,
     seq: u64,
 }
 
@@ -36,12 +45,14 @@ impl RouterDaemon {
     pub fn new(yfs: YancFs) -> yanc::YancResult<Self> {
         let sub = yfs.subscribe_events("router")?;
         Ok(RouterDaemon {
+            topo: TopologyView::new(yfs.clone()),
             yfs,
             sub,
             locations: HashMap::new(),
             idle_timeout: 60,
             paths_installed: 0,
             floods: 0,
+            topology_rebuilds: 0,
             seq: 0,
         })
     }
@@ -53,11 +64,13 @@ impl RouterDaemon {
 
     /// Process pending packet-ins. Returns whether any work happened.
     pub fn run_once(&mut self) -> bool {
+        self.topo.drain();
         let records = self.sub.drain_all();
         let worked = !records.is_empty();
         for rec in records {
             self.handle(rec);
         }
+        self.topology_rebuilds = self.topo.rebuilds();
         worked
     }
 
@@ -71,7 +84,7 @@ impl RouterDaemon {
         }
         // Learn the source if it entered on an edge port, and record it in
         // the hosts/ directory (Figure 2) for other applications to read.
-        let is_edge = matches!(self.yfs.peer(&rec.switch, rec.in_port), Ok(None));
+        let is_edge = self.topo.is_edge(&rec.switch, rec.in_port);
         if is_edge && !summary.dl_src.is_multicast() {
             let loc = (rec.switch.clone(), rec.in_port);
             if self.locations.insert(summary.dl_src, loc.clone()) != Some(loc.clone()) {
@@ -120,22 +133,9 @@ impl RouterDaemon {
     /// controllers handle broadcasts too.
     fn flood(&mut self, rec: &PacketInRecord) {
         self.floods += 1;
-        let switches = match self.yfs.list_switches() {
-            Ok(s) => s,
-            Err(_) => return,
-        };
-        for sw in switches {
-            let ports = match self.yfs.list_ports(&sw) {
-                Ok(p) => p,
-                Err(_) => continue,
-            };
-            for port in ports {
-                if sw == rec.switch && port == rec.in_port {
-                    continue; // never back out the ingress
-                }
-                if matches!(self.yfs.peer(&sw, port), Ok(None)) {
-                    self.emit_data(&sw, rec, port);
-                }
+        for (sw, port) in self.topo.edge_ports() {
+            if sw != rec.switch || port != rec.in_port {
+                self.emit_data(&sw, rec, port); // never back out the ingress
             }
         }
     }
@@ -184,8 +184,8 @@ impl RouterDaemon {
         dst_sw: &str,
         dst_port: u16,
     ) -> Option<()> {
-        let hops = shortest_path(&self.yfs, &rec.switch, dst_sw).ok()??;
-        let ingresses = ingress_ports(&self.yfs, &hops).ok()?;
+        let hops = self.topo.shortest_path(&rec.switch, dst_sw)?;
+        let ingresses = self.topo.ingress_ports(&hops);
         if ingresses.len() != hops.len() {
             return None; // topology changed between the two reads
         }
@@ -214,10 +214,14 @@ impl RouterDaemon {
                 cookie: self.seq,
                 ..Default::default()
             };
+            // Fresh names take the batched path; a name a previous
+            // incarnation left behind is rewritten exactly (see
+            // `write_flow_at`).
             let name = format!("rt{}_{}", self.seq, sw);
-            if self.yfs.write_flow(&sw, &name, &spec).is_err() {
-                return None;
-            }
+            let flows = self.yfs.open_flows_dir(&sw).ok()?;
+            let written = self.yfs.write_flow_at(flows, &name, &spec);
+            let _ = self.yfs.filesystem().close(flows, self.yfs.creds());
+            written.ok()?;
         }
         self.paths_installed += 1;
         // Release the buffered packet along the installed path.
@@ -236,9 +240,11 @@ impl yanc::YancApp for RouterDaemon {
     }
 
     /// `SIGHUP`: drop learned host locations so stale placements (hosts
-    /// that moved while we were not looking) cannot pin wrong paths.
+    /// that moved while we were not looking) cannot pin wrong paths, and
+    /// the topology view, so the next packet-in walks `/net` afresh.
     fn reload(&mut self) -> yanc::YancResult<()> {
         self.locations.clear();
+        self.topo.invalidate();
         Ok(())
     }
 }

@@ -23,7 +23,7 @@ use yanc::{FlowSpec, SchemaPos, ViewConfig, YancFs};
 use yanc_openflow::{Action, FlowMatch, Ipv4Prefix};
 use yanc_vfs::{Event, EventKind, EventMask, WatchGuard};
 
-use crate::topology::{ingress_ports, shortest_path};
+use crate::topology::TopologyView;
 
 /// Intersect two matches. `None` when they are disjoint (a flow outside
 /// the slice's header space).
@@ -190,6 +190,8 @@ pub struct BigSwitchDaemon {
     /// Virtual port v (1-based index) → physical `(switch, port)`.
     pub port_map: Vec<(String, u16)>,
     watch: WatchGuard,
+    /// The physical fabric's links, for path compilation.
+    topo: TopologyView,
     /// Versions already compiled, keyed by flow name.
     seen: std::collections::HashMap<String, u64>,
     /// Flows compiled to physical paths (metrics).
@@ -234,6 +236,7 @@ impl BigSwitchDaemon {
             .mask(EventMask::ALL)
             .register()?;
         Ok(BigSwitchDaemon {
+            topo: TopologyView::new(phys.clone()),
             phys,
             virt,
             view: view.to_string(),
@@ -247,6 +250,7 @@ impl BigSwitchDaemon {
 
     /// Drain view events, compiling flow commits into physical paths.
     pub fn run_once(&mut self) -> bool {
+        self.topo.drain();
         let events: Vec<Event> = self.watch.receiver().try_iter().collect();
         let mut worked = false;
         for ev in events {
@@ -313,7 +317,7 @@ impl BigSwitchDaemon {
             write_error(&self.virt, BIG_SWITCH, flow, "unknown virtual port");
             return;
         };
-        let Ok(Some(hops)) = shortest_path(&self.phys, &src_sw, &dst_sw) else {
+        let Some(hops) = self.topo.shortest_path(&src_sw, &dst_sw) else {
             self.rejected += 1;
             write_error(
                 &self.virt,
@@ -323,10 +327,7 @@ impl BigSwitchDaemon {
             );
             return;
         };
-        let Ok(ingresses) = ingress_ports(&self.phys, &hops) else {
-            self.rejected += 1;
-            return;
-        };
+        let ingresses = self.topo.ingress_ports(&hops);
         if ingresses.len() != hops.len() {
             self.rejected += 1;
             write_error(

@@ -15,8 +15,8 @@ use bytes::Bytes;
 use crossbeam::channel::Receiver;
 
 use yanc_vfs::{
-    Credentials, DcacheStats, Errno, Event, EventKind, EventMask, Fd, Filesystem, Mode, OpenFlags,
-    VPath, WatchGuard,
+    Credentials, DcacheStats, Errno, Event, EventKind, EventMask, Fd, Filesystem, Mode, VPath,
+    WatchGuard,
 };
 
 use crate::error::{YancError, YancResult};
@@ -578,8 +578,20 @@ impl YancFs {
                 return Err(e.into());
             }
         }
+        self.rewrite_flow(&dir, spec)
+    }
+
+    /// The body of [`Self::write_flow`] once `dir` exists: remove field
+    /// files the new spec lacks, write the rest, commit `version` last.
+    fn rewrite_flow(&self, dir: &VPath, spec: &FlowSpec) -> YancResult<u64> {
         // Current committed version governs the new one.
-        let cur = self.flow_version(sw, name).unwrap_or(0);
+        let version = dir.join("version");
+        let cur = self
+            .fs
+            .read_to_string(version.as_str(), &self.creds)
+            .ok()
+            .and_then(|s| s.trim().parse::<u64>().ok())
+            .unwrap_or(0);
         let next = cur + 1;
 
         // Remove stale field files not present in the new spec.
@@ -601,11 +613,8 @@ impl YancFs {
                 .write_file(dir.join(file).as_str(), value.as_bytes(), &self.creds)?;
         }
         // Commit.
-        self.fs.write_file(
-            dir.join("version").as_str(),
-            next.to_string().as_bytes(),
-            &self.creds,
-        )?;
+        self.fs
+            .write_file(version.as_str(), next.to_string().as_bytes(), &self.creds)?;
         Ok(next)
     }
 
@@ -671,51 +680,26 @@ impl YancFs {
     /// commits `version` last — the driver sees the identical
     /// Create/CloseWrite sequence as the path-addressed slow path.
     ///
-    /// One caveat, stated rather than hidden: a *rewrite* that removes
-    /// match/action fields leaves the stale field files in place (there is
-    /// no `unlinkat` yet); use [`Self::write_flow`] when a rewrite changes
-    /// the flow's shape. Fresh installs — the install-storm case the paper's
-    /// §8.1 worries about — are exact.
+    /// The batch is used only when `mkdirat` created the flow directory. A
+    /// name that already exists (`EEXIST`) may hold field files the new
+    /// spec lacks, so it is rewritten through the exact path-addressed
+    /// sequence of [`Self::write_flow`] instead, at the descriptor's path.
     pub fn write_flow_at(&self, flows: Fd, name: &str, spec: &FlowSpec) -> YancResult<u64> {
         // Quota first, exactly as the slow path: a *new* flow costs a slot.
         if self.creds.uid.0 != 0 {
             self.fs.rctl().charge_flow(self.creds.uid.0, name)?;
         }
-        let fresh_dir = match self.fs.mkdirat(flows, name, Mode::DIR_DEFAULT, &self.creds) {
-            Ok(()) => true,
-            Err(e) if e.errno == Errno::EEXIST => {
-                if self.creds.uid.0 != 0 {
-                    self.fs.rctl().release_flow(self.creds.uid.0); // rewrites are free
-                }
-                false
+        if let Err(e) = self.fs.mkdirat(flows, name, Mode::DIR_DEFAULT, &self.creds) {
+            if self.creds.uid.0 != 0 {
+                self.fs.rctl().release_flow(self.creds.uid.0); // rewrites are free
             }
-            Err(e) => {
-                if self.creds.uid.0 != 0 {
-                    self.fs.rctl().release_flow(self.creds.uid.0);
-                }
+            if e.errno != Errno::EEXIST {
                 return Err(e.into());
             }
-        };
-        // The YancHook seeds `version` = 0 on mkdir; a pre-existing flow's
-        // committed version is read through the descriptor (openat + read).
-        let next = if fresh_dir {
-            1
-        } else {
-            let vfd = self.fs.openat(
-                flows,
-                &format!("{name}/version"),
-                OpenFlags::read_only(),
-                &self.creds,
-            )?;
-            let bytes = self.fs.read(vfd, 32)?;
-            self.fs.close(vfd, &self.creds)?;
-            let s = String::from_utf8_lossy(&bytes);
-            let cur: u64 = s
-                .trim()
-                .parse()
-                .map_err(|_| YancError::parse("version", s.to_string()))?;
-            cur + 1
-        };
+            return self.rewrite_flow(&self.fs.fd_path(flows)?.join(name), spec);
+        }
+        // The YancHook seeds `version` = 0 on mkdir, so a fresh flow
+        // commits version 1.
         let fields = spec.to_files();
         let mut entries: Vec<(String, Vec<u8>)> = fields
             .iter()
@@ -723,13 +707,13 @@ impl YancFs {
             .map(|(k, v)| (format!("{name}/{k}"), v.as_bytes().to_vec()))
             .collect();
         // `version` last: its CloseWrite is the commit the driver reacts to.
-        entries.push((format!("{name}/version"), next.to_string().into_bytes()));
+        entries.push((format!("{name}/version"), b"1".to_vec()));
         let borrowed: Vec<(&str, &[u8])> = entries
             .iter()
             .map(|(k, v)| (k.as_str(), v.as_slice()))
             .collect();
         self.fs.write_batch_at(flows, &borrowed, &self.creds)?;
-        Ok(next)
+        Ok(1)
     }
 
     // ------------------------------------------------------------------

@@ -2482,6 +2482,16 @@ impl Filesystem {
         self.open_common(None, path, OpenFlags::read_only(), creds, DirMode::Require)
     }
 
+    /// The path `fd` was opened at, as `/proc/self/fd/<n>` would show it.
+    /// A lookup in the caller's own descriptor table, not a charged
+    /// syscall; `EBADF` for a closed descriptor.
+    pub fn fd_path(&self, fd: Fd) -> VfsResult<VPath> {
+        match self.tables.with_handle(fd.0, |h| h.path.clone()) {
+            Some(p) => Ok(p),
+            None => err(Errno::EBADF, "fd"),
+        }
+    }
+
     /// `openat(2)`: open `rel` (a relative path; `EINVAL` if absolute)
     /// resolved from the directory descriptor `dir`. Only the relative
     /// components pay resolution hops — the prefix was resolved once at

@@ -3,18 +3,19 @@
 //! wire-codec roundtrips for both versions, match subsumption laws,
 //! DFS convergence under arbitrary concurrent writes, and concurrency
 //! laws of the sharded vfs (lock ordering, link-count conservation,
-//! notify batch accounting).
+//! notify batch accounting), and the topology view's equivalence with a
+//! fresh walk of `/net`.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use yanc::FlowSpec;
+use yanc::{FlowSpec, YancFs};
 use yanc_dfs::{Backend, Cluster};
 use yanc_openflow::FrameCodec;
 use yanc_openflow::{decode, encode, Action, FlowMatch, FlowMod, Ipv4Prefix, Message, Version};
 use yanc_packet::MacAddr;
-use yanc_vfs::{Credentials, EventMask, Filesystem, Mode};
+use yanc_vfs::{AppLimits, Credentials, EventMask, Filesystem, Mode, Uid};
 
 // ---------------------------------------------------------------------
 // Generators
@@ -552,4 +553,217 @@ fn optimistic_reads_cannot_widen_access_across_narrowing() {
 
     // And root, of course, still passes everywhere.
     fs.read_file("/sec/d/f", &root).unwrap();
+}
+
+// ---------------------------------------------------------------------
+// Topology view ≡ a fresh walk (DESIGN.md §15)
+// ---------------------------------------------------------------------
+
+/// The reference the view replaced: BFS over a fresh
+/// [`YancFs::topology()`] walk, neighbours in `(port, switch)` order.
+fn walk_path(y: &YancFs, from: &str, to: &str) -> yanc::YancResult<Option<Vec<(String, u16)>>> {
+    use std::collections::{HashMap, HashSet, VecDeque};
+    if from == to {
+        return Ok(Some(Vec::new()));
+    }
+    let mut adj: HashMap<String, Vec<(u16, String)>> = HashMap::new();
+    for (sw, port, peer_sw, _) in y.topology()? {
+        adj.entry(sw).or_default().push((port, peer_sw));
+    }
+    for nbrs in adj.values_mut() {
+        nbrs.sort();
+    }
+    let mut prev: HashMap<String, (String, u16)> = HashMap::new();
+    let mut seen: HashSet<String> = HashSet::from([from.to_string()]);
+    let mut q = VecDeque::from([from.to_string()]);
+    while let Some(cur) = q.pop_front() {
+        if cur == to {
+            let mut hops = Vec::new();
+            let mut node = to.to_string();
+            while node != from {
+                let (p, port) = prev[&node].clone();
+                hops.push((p.clone(), port));
+                node = p;
+            }
+            hops.reverse();
+            return Ok(Some(hops));
+        }
+        for (port, nbr) in adj.get(&cur).cloned().unwrap_or_default() {
+            if seen.insert(nbr.clone()) {
+                prev.insert(nbr.clone(), (cur.clone(), port));
+                q.push_back(nbr);
+            }
+        }
+    }
+    Ok(None)
+}
+
+#[derive(Debug, Clone)]
+enum TopoOp {
+    SetPeer(u8, u16, u8, u16),
+    ClearPeer(u8, u16),
+    CreatePort(u8, u16),
+    CreateSwitch(u8),
+    RemoveSwitch(u8),
+    RenameSwitch(u8, u8),
+    RenamePort(u8, u16, u16),
+    /// Path `a → b`, its ingress ports, and whether `a:port` is an edge.
+    Query(u8, u8, u16),
+}
+
+fn arb_topo_op() -> impl Strategy<Value = TopoOp> {
+    // The selector weighs the kinds: link edits and queries dominate.
+    (0u8..16, 0u8..5, 1u16..=4, 0u8..5, 1u16..=4).prop_map(|(k, a, p, b, q)| match k {
+        0..=2 => TopoOp::SetPeer(a, p, b, q),
+        3 | 4 => TopoOp::ClearPeer(a, p),
+        5 => TopoOp::CreatePort(a, p),
+        6 => TopoOp::CreateSwitch(a),
+        7 => TopoOp::RemoveSwitch(a),
+        8 => TopoOp::RenameSwitch(a, b),
+        9 => TopoOp::RenamePort(a, p, q),
+        _ => TopoOp::Query(a, b, p),
+    })
+}
+
+/// How the view's owner is confined.
+#[derive(Debug, Clone, Copy)]
+enum ViewMode {
+    /// Unconfined: every watch registers, nothing is dropped.
+    Watched,
+    /// A notify queue quota of 0: every event to the view is tail-dropped.
+    TailDrop,
+    /// A 2-watch budget: most per-switch watches fail with `EMFILE`.
+    Emfile,
+}
+
+/// A line `s0 - s1 - s2 - s3` (port 2 up, port 1 down, ports 3 spare) and
+/// a view over it owned by uid 7, confined per `mode`.
+fn view_fixture(mode: ViewMode) -> (YancFs, yanc_apps::TopologyView) {
+    let y = YancFs::init(Arc::new(Filesystem::new()), "/net").unwrap();
+    for i in 0..4u64 {
+        y.create_switch(&format!("s{i}"), i + 1, 0, 0, 0, 1)
+            .unwrap();
+        for p in 1..=3 {
+            y.create_port(&format!("s{i}"), p, "02:00:00:00:00:01", 0, 0)
+                .unwrap();
+        }
+    }
+    for i in 0..3 {
+        y.set_peer(&format!("s{i}"), 2, &format!("s{}", i + 1), 1)
+            .unwrap();
+        y.set_peer(&format!("s{}", i + 1), 1, &format!("s{i}"), 2)
+            .unwrap();
+    }
+    let limits = match mode {
+        ViewMode::Watched => AppLimits::unlimited(),
+        ViewMode::TailDrop => AppLimits {
+            notify_queue_max: Some(0),
+            ..AppLimits::unlimited()
+        },
+        ViewMode::Emfile => AppLimits {
+            max_watches: Some(2),
+            ..AppLimits::unlimited()
+        },
+    };
+    y.filesystem().set_app_limits(Uid(7), limits);
+    let view = yanc_apps::TopologyView::new(y.with_creds(Credentials::user(7, 7)));
+    (y, view)
+}
+
+fn apply_topo_op(y: &YancFs, op: &TopoOp) {
+    let s = |i: u8| format!("s{i}");
+    let fs = y.filesystem();
+    // Ops may fail (a missing port, a name taken); the law is about the
+    // view agreeing with the tree whatever state they leave.
+    match *op {
+        TopoOp::SetPeer(a, p, b, q) => drop(y.set_peer(&s(a), p, &s(b), q)),
+        TopoOp::ClearPeer(a, p) => drop(y.clear_peer(&s(a), p)),
+        TopoOp::CreatePort(a, p) => drop(y.create_port(&s(a), p, "02:00:00:00:00:02", 0, 0)),
+        TopoOp::CreateSwitch(a) => drop(y.create_switch(&s(a), 0x100 + u64::from(a), 0, 0, 0, 1)),
+        TopoOp::RemoveSwitch(a) => drop(y.remove_switch(&s(a))),
+        TopoOp::RenameSwitch(a, b) => drop(fs.rename(
+            y.switch_dir(&s(a)).as_str(),
+            y.switch_dir(&s(b)).as_str(),
+            y.creds(),
+        )),
+        TopoOp::RenamePort(a, p, q) => drop(fs.rename(
+            y.port_dir(&s(a), p).as_str(),
+            y.port_dir(&s(a), q).as_str(),
+            y.creds(),
+        )),
+        TopoOp::Query(..) => {}
+    }
+}
+
+/// Check one query against the fresh walk; `false` when the walk itself
+/// failed (no reference to compare with).
+fn view_agrees(y: &YancFs, v: &mut yanc_apps::TopologyView, a: u8, b: u8, p: u16) -> bool {
+    let (from, to) = (format!("s{a}"), format!("s{b}"));
+    let Ok(want) = walk_path(y, &from, &to) else {
+        return false;
+    };
+    let got = v.shortest_path(&from, &to);
+    assert_eq!(got, want, "path {from} -> {to}");
+    if let Some(hops) = &got {
+        let want_in: Vec<(String, u16)> = hops
+            .iter()
+            .filter_map(|(sw, port)| y.peer(sw, *port).unwrap())
+            .collect();
+        assert_eq!(v.ingress_ports(hops), want_in, "ingress along {hops:?}");
+    }
+    let want_edge = matches!(y.peer(&from, p), Ok(None));
+    assert_eq!(v.is_edge(&from, p), want_edge, "edge-ness of {from}:{p}");
+    true
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // The view never answers from a stale walk: after any interleaving of
+    // link, port and switch changes (renames included), its path, ingress
+    // ports and edge-ness equal a fresh BFS over `topology()` — whether
+    // its watches see every event, lose them all to a queue quota, or
+    // could not be registered.
+    #[test]
+    fn topology_view_equals_a_fresh_walk(
+        ops in proptest::collection::vec(arb_topo_op(), 1..40),
+        mode in prop_oneof![Just(ViewMode::Watched), Just(ViewMode::TailDrop), Just(ViewMode::Emfile)],
+    ) {
+        let (y, mut v) = view_fixture(mode);
+        for op in &ops {
+            apply_topo_op(&y, op);
+            if let TopoOp::Query(a, b, p) = *op {
+                view_agrees(&y, &mut v, a, b, p);
+            }
+        }
+    }
+}
+
+/// The `IN_Q_OVERFLOW` rule, explicitly: every event to the view is
+/// tail-dropped, so only the hub's drop counter says the links changed.
+#[test]
+fn topology_view_rewalks_after_a_tail_drop() {
+    let (y, mut v) = view_fixture(ViewMode::TailDrop);
+    assert!(view_agrees(&y, &mut v, 0, 3, 1));
+    assert!(view_agrees(&y, &mut v, 0, 3, 1));
+    assert_eq!(v.rebuilds(), 1, "nothing changed, nothing dropped");
+    y.clear_peer("s1", 2).unwrap();
+    assert!(y.filesystem().notify().dropped_events() > 0);
+    assert!(view_agrees(&y, &mut v, 0, 3, 1));
+    assert_eq!(v.shortest_path("s0", "s3"), None);
+    assert_eq!(v.rebuilds(), 2);
+}
+
+/// The `EMFILE` rule, explicitly: with a watch budget too small to cover
+/// every switch, the view never trusts a walk and re-walks per query.
+#[test]
+fn topology_view_without_its_watches_rewalks_every_query() {
+    let (y, mut v) = view_fixture(ViewMode::Emfile);
+    assert!(view_agrees(&y, &mut v, 0, 3, 1));
+    let walks = v.rebuilds();
+    y.clear_peer("s2", 2).unwrap(); // s2's ports/ is unwatched
+    assert!(view_agrees(&y, &mut v, 0, 3, 1));
+    assert_eq!(v.shortest_path("s0", "s3"), None);
+    assert!(v.rebuilds() > walks);
+    assert_eq!(y.filesystem().notify().watches_of(7), 2);
 }

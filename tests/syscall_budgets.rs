@@ -9,7 +9,9 @@ use std::sync::Arc;
 use bytes::Bytes;
 
 use yanc::{FlowSpec, PacketInRecord, YancFs};
+use yanc_apps::RouterDaemon;
 use yanc_driver::Runtime;
+use yanc_harness::{build_line, record_topology, settle, PumpApp};
 use yanc_openflow::{Action, FlowMatch, Ipv4Prefix, Version};
 use yanc_packet::MacAddr;
 use yanc_vfs::{Credentials, Filesystem};
@@ -126,4 +128,73 @@ fn e4_budget_is_unchanged_by_introspection() {
             .total()
     };
     assert_eq!(run(false), run(true));
+}
+
+#[test]
+fn warm_view_path_install_budget_via_proc() {
+    // DESIGN.md §15: with the router's topology view warm, one packet-in
+    // that installs a 3-hop path reads nothing under `ports/` — no
+    // `readlink`, and one `readdir` (the router's own event buffer) — and
+    // writes each hop as open_dir + mkdirat + one batched write + close.
+    let mut rt = Runtime::new();
+    let topo = build_line(&mut rt, 3, Version::V1_3);
+    record_topology(&mut rt);
+    let all: Vec<_> = rt.net.hosts.values().map(|h| (h.ip, h.mac)).collect();
+    for h in rt.net.hosts.values_mut() {
+        for &(ip, mac) in &all {
+            h.learn_arp(ip, mac);
+        }
+    }
+    let (src, _) = topo.hosts[0];
+    let (_, dst) = topo.hosts[1];
+    let mut router = RouterDaemon::new(rt.yfs.clone()).unwrap();
+    // Warm-up: the router learns both hosts and walks /net once; then the
+    // installed paths idle out so the next ping misses again.
+    rt.net.host_ping(src, dst, 1);
+    settle(&mut rt, &mut [&mut router as &mut dyn PumpApp]);
+    rt.advance(3600).unwrap();
+    settle(&mut rt, &mut [&mut router as &mut dyn PumpApp]);
+    rt.enable_introspection().unwrap();
+    let paths = router.paths_installed;
+
+    rt.net.host_ping(src, dst, 2);
+    rt.pump().unwrap(); // the echo request misses on sw1: one packet-in
+    let fs = rt.yfs.filesystem().clone();
+    let ops = [
+        "total", "stat", "open", "close", "read", "write", "mkdir", "rmdir", "unlink", "readdir",
+        "readlink", "openat", "fstat",
+    ];
+    let read = |op: &str| proc_u64(&fs, &format!("/net/.proc/vfs/syscalls/{op}"));
+    let before: Vec<u64> = ops.iter().map(|op| read(op)).collect();
+    assert!(router.run_once());
+    let used: Vec<(&str, u64)> = ops
+        .iter()
+        .zip(&before)
+        .map(|(op, b)| (*op, read(op) - b))
+        .collect();
+    assert_eq!(router.paths_installed, paths + 1);
+    assert_eq!(router.topology_rebuilds, 1, "the view stayed warm");
+    // 49 in all: consuming the packet-in (the readdir, its field reads,
+    // one rmdir), three hops of open_dir + mkdirat + one batched write +
+    // close, and the packet-out append. Before the view, the same
+    // install cost 212: 8 readdirs and 15 readlinks re-walking /net, and
+    // a path-addressed write_flow per hop.
+    assert_eq!(
+        used,
+        vec![
+            ("total", 49),
+            ("stat", 5),
+            ("open", 12),
+            ("close", 12),
+            ("read", 5),
+            ("write", 7),
+            ("mkdir", 6),
+            ("rmdir", 1),
+            ("unlink", 0),
+            ("readdir", 1),
+            ("readlink", 0),
+            ("openat", 0),
+            ("fstat", 0),
+        ]
+    );
 }
