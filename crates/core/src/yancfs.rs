@@ -618,20 +618,35 @@ impl YancFs {
         Ok(next)
     }
 
-    /// Read a flow directory into a [`FlowSpec`].
+    /// Read a flow directory into a [`FlowSpec`] in four charged syscalls
+    /// however many fields the flow has: `open_dir`, `readdir_fd`, one
+    /// [`yanc_vfs::Filesystem::read_batch_at`] for every field file, and
+    /// `close`.
     pub fn read_flow(&self, sw: &str, name: &str) -> YancResult<FlowSpec> {
-        let dir = self.flow_dir(sw, name);
-        let mut files: Vec<(String, String)> = Vec::new();
-        for e in self.fs.readdir(dir.as_str(), &self.creds)? {
-            if e.file_type == yanc_vfs::FileType::Directory {
-                continue; // counters/
-            }
-            let content = self
-                .fs
-                .read_to_string(dir.join(&e.name).as_str(), &self.creds)?;
-            files.push((e.name, content));
-        }
-        FlowSpec::from_files(files.iter().map(|(k, v)| (k.as_str(), v.as_str())))
+        let dir = self
+            .fs
+            .open_dir(self.flow_dir(sw, name).as_str(), &self.creds)?;
+        let res = self.fs.readdir_fd(dir).and_then(|entries| {
+            // Directories (`counters/`) hold no fields.
+            let names: Vec<String> = entries
+                .into_iter()
+                .filter(|e| e.file_type != yanc_vfs::FileType::Directory)
+                .map(|e| e.name)
+                .collect();
+            let rels: Vec<&str> = names.iter().map(String::as_str).collect();
+            let bodies = self.fs.read_batch_at(dir, &rels, &self.creds)?;
+            Ok((names, bodies))
+        });
+        let _ = self.fs.close(dir, &self.creds);
+        let (names, bodies) = res?;
+        let values: Vec<std::borrow::Cow<'_, str>> =
+            bodies.iter().map(|b| String::from_utf8_lossy(b)).collect();
+        FlowSpec::from_files(
+            names
+                .iter()
+                .zip(&values)
+                .map(|(k, v)| (k.as_str(), v.as_ref())),
+        )
     }
 
     /// The committed version of a flow.

@@ -35,7 +35,7 @@ use yanc_openflow::{
     Reassembler, StatsReply, StatsRequest, SwitchFeatures, Version,
 };
 use yanc_openflow::{flow_mod_flags, port_no, FrameCodec};
-use yanc_vfs::{Event, EventKind, EventMask, LatencyHistogram, WatchGuard};
+use yanc_vfs::{Event, EventKind, EventMask, LatencyHistogram, OpenFlags, WatchGuard};
 
 /// Driver lifecycle state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -443,14 +443,16 @@ impl OpenFlowDriver {
                 }
             }
         }
-        // fs → driver events.
+        // fs → driver events, handled as one batch: `on_fs_event` syncs a
+        // flow at most once per batch.
         let events: Vec<Event> = match &self.fs_watch {
             Some(w) => w.receiver().try_iter().collect(),
             None => Vec::new(),
         };
+        worked |= !events.is_empty();
+        let mut synced: HashSet<String> = HashSet::new();
         for ev in events {
-            worked = true;
-            self.on_fs_event(ev);
+            self.on_fs_event(ev, &mut synced);
         }
         worked
     }
@@ -728,21 +730,32 @@ impl OpenFlowDriver {
     // fs-side handlers
     // ------------------------------------------------------------------
 
-    fn on_fs_event(&mut self, ev: Event) {
+    /// React to one fs event. `synced` holds the flows already synced in
+    /// this drained batch. Every event in the batch was emitted before the
+    /// first sync read the fs, so a later `version` commit of the same flow
+    /// is already in what that sync read — unless the flow directory was
+    /// deleted in between, whose handler removed the switch entry.
+    fn on_fs_event(&mut self, ev: Event, synced: &mut HashSet<String>) {
+        if !matches!(ev.kind, EventKind::CloseWrite | EventKind::Delete) {
+            return;
+        }
         let sw = match &self.switch_name {
             Some(s) => s.clone(),
             None => return,
         };
         let pos = yanc::classify(self.yfs.root(), &ev.path);
         match (ev.kind, pos) {
-            // Flow commit: the version file changed.
+            // Flow commit: the version file changed (a repeat in this
+            // batch falls through to the no-op arm).
             (EventKind::CloseWrite, SchemaPos::FlowFile { flow, file, .. })
-                if file == "version" =>
+                if file == "version" && !synced.contains(&flow) =>
             {
                 self.sync_flow(&sw, &flow);
+                synced.insert(flow);
             }
             // Flow directory deleted.
             (EventKind::Delete, SchemaPos::FlowDir { flow, .. }) => {
+                synced.remove(&flow);
                 if self.self_deletes.remove(&flow) {
                     return; // our own FlowRemoved-driven cleanup
                 }
@@ -858,33 +871,48 @@ impl OpenFlowDriver {
         }
     }
 
-    /// Parse appended `packet_out` lines:
+    /// Parse the `packet_out` lines appended since the last drain:
     /// `buffer=<id|none> in_port=<n> out=<tok[,tok…]> [data=<hex>]`.
+    /// Like `tail -f`, only the bytes past the consumed offset are copied:
+    /// open + fstat + pread + close, whatever the file's size. The offset
+    /// counts raw bytes and stops after the last newline, so a line split
+    /// across two appends is parsed once, whole; each line is decoded on
+    /// its own, so bytes that are not UTF-8 fail as one unparsable line.
     fn drain_packet_out(&mut self, sw: &str) {
+        let fs = self.yfs.filesystem().clone();
         let path = self.yfs.switch_dir(sw).join("packet_out");
-        let content = match self
-            .yfs
-            .filesystem()
-            .read_to_string(path.as_str(), self.yfs.creds())
-        {
-            Ok(c) => c,
+        let fd = match fs.open(path.as_str(), OpenFlags::read_only(), self.yfs.creds()) {
+            Ok(fd) => fd,
             Err(_) => return,
         };
-        let fresh = &content[self.packet_out_offset.min(content.len())..];
-        self.packet_out_offset = content.len();
-        let lines: Vec<String> = fresh.lines().map(str::to_string).collect();
-        for line in lines {
-            if let Some(msg) = parse_packet_out_line(&line) {
+        let read = fs.fstat(fd).and_then(|st| {
+            let size = st.size as usize;
+            // A file shorter than the offset was truncated under us: start over.
+            let start = if size >= self.packet_out_offset {
+                self.packet_out_offset
+            } else {
+                0
+            };
+            Ok((size, start, fs.pread(fd, start as u64, size - start)?))
+        });
+        let _ = fs.close(fd, self.yfs.creds());
+        let Ok((size, start, fresh)) = read else {
+            return;
+        };
+        let end = match fresh.iter().rposition(|&b| b == b'\n') {
+            Some(i) => i + 1,
+            None => return, // no complete line yet
+        };
+        self.packet_out_offset = start + end;
+        for line in fresh[..end].split(|&b| b == b'\n') {
+            if let Some(msg) = parse_packet_out_line(&String::from_utf8_lossy(line)) {
                 self.send(&msg);
             }
         }
-        // Compact: the file is an append-only command stream; once consumed
-        // it would otherwise grow (and hold memory) forever.
-        if self.packet_out_offset > 64 * 1024 {
-            let _ = self
-                .yfs
-                .filesystem()
-                .truncate(path.as_str(), 0, self.yfs.creds());
+        // Compact: the file is an append-only command stream; once wholly
+        // consumed it would otherwise grow (and hold memory) forever.
+        if self.packet_out_offset == size && size > 64 * 1024 {
+            let _ = fs.truncate(path.as_str(), 0, self.yfs.creds());
             self.packet_out_offset = 0;
         }
     }

@@ -583,6 +583,30 @@ mod tests {
     }
 
     #[test]
+    fn flow_deleted_and_rewritten_within_one_batch_is_installed() {
+        // One drained batch holds the first commit, the Delete and the
+        // second commit. The Delete removes the entry the first sync
+        // installed, so the second commit must sync again.
+        let (mut rt, name, _h1, _h2) = two_host_rt(Version::V1_0);
+        let spec = |tp_dst| FlowSpec {
+            m: FlowMatch {
+                tp_dst: Some(tp_dst),
+                ..Default::default()
+            },
+            actions: vec![Action::out(2)],
+            priority: 77,
+            ..Default::default()
+        };
+        rt.yfs.write_flow(&name, "ssh", &spec(22)).unwrap();
+        rt.yfs.delete_flow(&name, "ssh").unwrap();
+        rt.yfs.write_flow(&name, "ssh", &spec(2222)).unwrap();
+        rt.pump().unwrap();
+        let table = rt.net.switches[&0xa].table(0).unwrap();
+        let installed: Vec<Option<u16>> = table.iter().map(|e| e.m.tp_dst).collect();
+        assert_eq!(installed, vec![Some(2222)]);
+    }
+
+    #[test]
     fn packet_in_lands_in_event_buffers() {
         let (mut rt, _name, h1, _h2) = two_host_rt(Version::V1_3);
         let sub = rt.yfs.subscribe_events("router").unwrap();

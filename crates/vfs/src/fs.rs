@@ -3336,6 +3336,53 @@ impl Filesystem {
         }
     }
 
+    /// Vectored descriptor-relative read, the read-side twin of
+    /// [`Self::write_batch_at`]: **one** charged `read` syscall returns
+    /// the whole contents of every entry in `rels`, in order. Each entry
+    /// is resolved from the descriptor and checked exactly as `open` +
+    /// `read` would check it: the same `pre_access` hook call, `Exec` on
+    /// every directory walked from the descriptor and `Read` on the file
+    /// itself, so a batch can never return bytes that [`Self::read_file`]
+    /// would refuse for the same credentials. The batch fails with the
+    /// first failing entry's errno (`ENOENT`, `EACCES`, `EISDIR`, …). It
+    /// writes no journal record and emits no event.
+    pub fn read_batch_at(
+        &self,
+        dir: Fd,
+        rels: &[&str],
+        creds: &Credentials,
+    ) -> VfsResult<Vec<Vec<u8>>> {
+        let dpath = match self.tables.with_handle(dir.0, |h| h.path.clone()) {
+            Some(p) => p,
+            None => return err(Errno::EBADF, "fd"),
+        };
+        self.charge(OpKind::Read, dpath.as_str(), creds)?;
+        rels.iter()
+            .map(|rel| {
+                let full = dpath.join_path(rel);
+                self.pre_access(full.as_str());
+                let ino = self
+                    .resolve_at(dir, rel, creds, true)?
+                    .target
+                    .ok_or_else(|| VfsError::new(Errno::ENOENT, full.as_str()))?;
+                match self.tables.with_inode(ino, |n| match &n.kind {
+                    NodeKind::File(d) => {
+                        if check_access(creds, n.uid, n.gid, n.mode, n.acl.as_ref(), Access::Read) {
+                            Ok(d.clone())
+                        } else {
+                            err(Errno::EACCES, full.as_str())
+                        }
+                    }
+                    _ => err(Errno::EISDIR, full.as_str()),
+                }) {
+                    Ok(r) => r,
+                    // Unlinked between the walk and the copy.
+                    Err(_) => err(Errno::ENOENT, full.as_str()),
+                }
+            })
+            .collect()
+    }
+
     /// `truncate(2)` by path.
     pub fn truncate(&self, path: &str, len: u64, creds: &Credentials) -> VfsResult<()> {
         self.charge(OpKind::Truncate, path, creds)?;
@@ -4801,6 +4848,37 @@ mod tests {
             3
         );
         f.close(d, &root()).unwrap();
+    }
+
+    #[test]
+    fn read_batch_at_is_one_syscall_and_leaves_no_trace() {
+        let f = Filesystem::builder().journal(true).build();
+        f.mkdir_all("/flows/f/sub", Mode::DIR_DEFAULT, &root())
+            .unwrap();
+        f.write_file("/flows/f/a", b"p=1", &root()).unwrap();
+        f.write_file("/flows/f/sub/b", b"", &root()).unwrap();
+        let d = f.open_dir("/flows/f", &root()).unwrap();
+        let w = f
+            .watch("/flows")
+            .subtree()
+            .mask(EventMask::ALL)
+            .register()
+            .unwrap();
+        let journal = f.journal_bytes().len();
+        let before = f.counters().snapshot();
+        let got = f.read_batch_at(d, &["a", "sub/b", "a"], &root()).unwrap();
+        assert_eq!(got, vec![b"p=1".to_vec(), Vec::new(), b"p=1".to_vec()]);
+        let diff = f.counters().snapshot().since(&before);
+        assert_eq!((diff.get(OpKind::Read), diff.total()), (1, 1));
+        assert_eq!(w.receiver().try_iter().count(), 0, "no event");
+        assert_eq!(f.journal_bytes().len(), journal, "no journal record");
+        // The first failing entry names the errno.
+        let errno = |rels: &[&str]| f.read_batch_at(d, rels, &root()).unwrap_err().errno;
+        assert_eq!(errno(&["a", "nope", "sub"]), Errno::ENOENT);
+        assert_eq!(errno(&["sub", "nope"]), Errno::EISDIR);
+        assert_eq!(errno(&["/flows/f/a"]), Errno::EINVAL);
+        f.close(d, &root()).unwrap();
+        assert_eq!(errno(&["a"]), Errno::EBADF);
     }
 
     #[test]

@@ -127,6 +127,109 @@ fn garbage_packet_out_lines_are_ignored() {
     assert_eq!(rt.net.hosts[&h2].frames_received, delivered_before);
 }
 
+/// One `packet_out` line that sends a UDP datagram to `dst_port` out of
+/// h2's switch port.
+fn udp_packet_out_line(rt: &Runtime, h2: u64, dst_port: u16) -> String {
+    let frame = yanc_packet::build_udp(
+        yanc_packet::MacAddr::from_seed(99),
+        rt.net.hosts[&h2].mac,
+        "10.0.0.9".parse().unwrap(),
+        "10.0.0.2".parse().unwrap(),
+        1234,
+        dst_port,
+        bytes::Bytes::from_static(b"hello"),
+    );
+    format!(
+        "buffer=none in_port={} out=2 data={}\n",
+        port_no::CONTROLLER,
+        yanc::hex_encode(&frame)
+    )
+}
+
+fn udp_ports_received(rt: &Runtime, h2: u64) -> Vec<u16> {
+    rt.net.hosts[&h2]
+        .udp_received
+        .iter()
+        .map(|u| u.dst_port)
+        .collect()
+}
+
+#[test]
+fn packet_out_split_utf8_character_fails_closed() {
+    let (mut rt, _h1, h2) = two_hosts();
+    let fs = rt.yfs.filesystem().clone();
+    let creds = rt.yfs.creds().clone();
+    let delivered_before = rt.net.hosts[&h2].frames_received;
+    // A 4-byte character torn across two appends must not panic the pump.
+    fs.append_file("/net/switches/sw1/packet_out", b"\xf0\x9f", &creds)
+        .unwrap();
+    rt.pump().unwrap();
+    fs.append_file("/net/switches/sw1/packet_out", b"\x98\x80\n", &creds)
+        .unwrap();
+    rt.pump().unwrap();
+    assert_eq!(rt.net.hosts[&h2].frames_received, delivered_before);
+    // The stream keeps working after the junk line.
+    let line = udp_packet_out_line(&rt, h2, 7);
+    fs.append_file("/net/switches/sw1/packet_out", line.as_bytes(), &creds)
+        .unwrap();
+    rt.pump().unwrap();
+    assert_eq!(udp_ports_received(&rt, h2), vec![7]);
+}
+
+#[test]
+fn packet_out_line_split_across_appends_is_sent_once() {
+    let (mut rt, _h1, h2) = two_hosts();
+    let fs = rt.yfs.filesystem().clone();
+    let creds = rt.yfs.creds().clone();
+    let line = udp_packet_out_line(&rt, h2, 4242);
+    let (head, tail) = line.as_bytes().split_at(line.len() / 2);
+    fs.append_file("/net/switches/sw1/packet_out", head, &creds)
+        .unwrap();
+    rt.pump().unwrap();
+    assert!(udp_ports_received(&rt, h2).is_empty(), "half a line waits");
+    fs.append_file("/net/switches/sw1/packet_out", tail, &creds)
+        .unwrap();
+    rt.pump().unwrap();
+    assert_eq!(udp_ports_received(&rt, h2), vec![4242]);
+}
+
+#[test]
+fn packet_out_uneven_chunks_across_compaction_deliver_each_line_once() {
+    let (mut rt, _h1, h2) = two_hosts();
+    let fs = rt.yfs.filesystem().clone();
+    let creds = rt.yfs.creds().clone();
+    let path = "/net/switches/sw1/packet_out";
+    let ports: Vec<u16> = (10_000..11_000).collect();
+    let stream: Vec<u8> = ports
+        .iter()
+        .flat_map(|&p| udp_packet_out_line(&rt, h2, p).into_bytes())
+        .collect();
+    assert!(stream.len() > 2 * 64 * 1024, "{} bytes", stream.len());
+    let line_len = stream.len() / ports.len();
+    // Uneven chunk sizes, most ending mid-line; every seventh chunk ends
+    // exactly on a line boundary so the drained file can be compacted.
+    let sizes = [1, 997, 4096, 37, 2 * line_len + 5, 13_001, 255];
+    let (mut at, mut i, mut compactions) = (0usize, 0usize, 0usize);
+    while at < stream.len() {
+        let mut end = (at + sizes[i % sizes.len()]).min(stream.len());
+        if i % 7 == 6 {
+            end = (end / line_len * line_len)
+                .max(at + line_len)
+                .min(stream.len());
+        }
+        fs.append_file(path, &stream[at..end], &creds).unwrap();
+        let size_before = fs.stat(path, &creds).unwrap().size;
+        rt.pump().unwrap();
+        if fs.stat(path, &creds).unwrap().size < size_before {
+            compactions += 1;
+        }
+        at = end;
+        i += 1;
+    }
+    assert!(compactions >= 1, "the file was never compacted");
+    assert_eq!(udp_ports_received(&rt, h2), ports);
+}
+
 #[test]
 fn quota_exhaustion_surfaces_as_enospc() {
     let fs = std::sync::Arc::new(

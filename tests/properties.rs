@@ -767,3 +767,164 @@ fn topology_view_without_its_watches_rewalks_every_query() {
     assert!(v.rebuilds() > walks);
     assert_eq!(y.filesystem().notify().watches_of(7), 2);
 }
+
+// ---------------------------------------------------------------------
+// Batched reads ≡ per-file reads (DESIGN.md §16)
+// ---------------------------------------------------------------------
+
+/// One entry `e<i>` of the directory the batch reads from.
+#[derive(Debug, Clone)]
+enum BatchNode {
+    /// A file: mode, owner (uid = gid), an optional named-user ACL entry.
+    File(u16, u32, Option<(u32, u8)>),
+    /// A directory (mode, owner) holding one file `x` (mode).
+    Dir(u16, u32, u16),
+    /// A symlink to this target.
+    Link(&'static str),
+}
+
+/// The names a batch reads, relative to `/t/d`.
+const BATCH_NAMES: [&str; 13] = [
+    "e0",
+    "e1",
+    "e2",
+    "e3",
+    "e4",
+    "e5",
+    "e0/x",
+    "e1/x",
+    "e2/x",
+    "missing",
+    "../other/secret",
+    "e3/../e0",
+    "",
+];
+
+/// Mostly the modes a tree really holds, sometimes any nine bits.
+fn arb_mode(usual: [u16; 3]) -> impl Strategy<Value = u16> {
+    prop_oneof![Just(usual[0]), Just(usual[1]), Just(usual[2]), 0u16..0o1000]
+}
+
+fn arb_owner() -> impl Strategy<Value = u32> {
+    prop_oneof![Just(0u32), Just(1001), Just(1002)]
+}
+
+fn arb_batch_node() -> impl Strategy<Value = BatchNode> {
+    prop_oneof![
+        (
+            arb_mode([0o644, 0o640, 0o600]),
+            arb_owner(),
+            proptest::option::of((prop_oneof![Just(1001u32), Just(1003)], 0u8..8)),
+        )
+            .prop_map(|(m, o, acl)| BatchNode::File(m, o, acl)),
+        (
+            arb_mode([0o755, 0o750, 0o700]),
+            arb_owner(),
+            arb_mode([0o644, 0o640, 0o600])
+        )
+            .prop_map(|(m, o, x)| BatchNode::Dir(m, o, x)),
+        // Targets: siblings (possibly itself: ELOOP), through a sibling,
+        // missing, and a file elsewhere reached by `..` or an absolute path.
+        (0usize..12).prop_map(|i| BatchNode::Link(BATCH_NAMES[i])),
+        Just(BatchNode::Link("/t/other/secret")),
+    ]
+}
+
+/// `/t/d/e<i>` per `nodes` plus `/t/other/secret`, with the two
+/// directories' modes and owners applied last.
+fn batch_fixture(nodes: &[BatchNode], d: (u16, u32), other: u16) -> Filesystem {
+    use yanc_vfs::{Acl, Gid, Uid};
+    let fs = Filesystem::new();
+    let root = Credentials::root();
+    let own = |p: &str, uid: u32, mode: u16| {
+        fs.chown(p, Some(Uid(uid)), Some(Gid(uid)), &root).unwrap();
+        fs.chmod(p, Mode(mode), &root).unwrap();
+    };
+    fs.mkdir_all("/t/d", Mode(0o755), &root).unwrap();
+    fs.mkdir_all("/t/other", Mode(0o755), &root).unwrap();
+    fs.write_file("/t/other/secret", b"s3cret", &root).unwrap();
+    own("/t/other/secret", 1002, 0o640);
+    for (i, n) in nodes.iter().enumerate() {
+        let p = format!("/t/d/e{i}");
+        match n {
+            BatchNode::File(mode, uid, acl) => {
+                fs.write_file(&p, format!("body {i}").as_bytes(), &root)
+                    .unwrap();
+                own(&p, *uid, *mode);
+                if let Some((who, perms)) = acl {
+                    let mut a = Acl::new();
+                    a.set_user(Uid(*who), *perms);
+                    a.set_mask(0o7);
+                    fs.set_acl(&p, Some(a), &root).unwrap();
+                }
+            }
+            BatchNode::Dir(mode, uid, x_mode) => {
+                fs.mkdir(&p, Mode(0o755), &root).unwrap();
+                let x = format!("{p}/x");
+                fs.write_file(&x, format!("x in {i}").as_bytes(), &root)
+                    .unwrap();
+                own(&x, *uid, *x_mode);
+                own(&p, *uid, *mode);
+            }
+            BatchNode::Link(target) => fs.symlink(target, &p, &root).unwrap(),
+        }
+    }
+    own("/t/d", d.1, d.0);
+    own("/t/other", 1002, other);
+    fs
+}
+
+fn batch_creds(i: usize) -> Credentials {
+    match i {
+        0 => Credentials::root(),
+        1 => Credentials::user(1001, 1001),
+        2 => Credentials::user(1002, 1002),
+        3 => Credentials::user(1003, 1002), // in the group of 1002's files
+        _ => Credentials::user(1004, 1004),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    // `read_batch_at` is `read_file` per entry, in one charged syscall:
+    // on success the bytes are identical; on failure the errno is the
+    // one `read_file` gives for the first failing entry. So a batch can
+    // never return bytes `read_file` refuses for the same credentials.
+    #[test]
+    fn read_batch_at_equals_per_file_reads(
+        nodes in proptest::collection::vec(arb_batch_node(), 2..7),
+        d_mode in arb_mode([0o755, 0o751, 0o710]),
+        d_owner in arb_owner(),
+        other_mode in prop_oneof![Just(0o755u16), Just(0o750), Just(0o700)],
+        who in 0usize..5,
+        picks in proptest::collection::vec(0usize..BATCH_NAMES.len(), 0..10),
+    ) {
+        let fs = batch_fixture(&nodes, (d_mode, d_owner), other_mode);
+        let creds = batch_creds(who);
+        let rels: Vec<&str> = picks.iter().map(|&i| BATCH_NAMES[i]).collect();
+        let per_file: Vec<Result<Vec<u8>, yanc_vfs::Errno>> = rels
+            .iter()
+            .map(|r| fs.read_file(&format!("/t/d/{r}"), &creds).map_err(|e| e.errno))
+            .collect();
+        // The anchor is opened as root: the law is about the entries, and
+        // `/` and `/t` are traversable for everyone.
+        let dir = fs.open_dir("/t/d", &Credentials::root()).unwrap();
+        let before = fs.counters().snapshot();
+        let batch = fs.read_batch_at(dir, &rels, &creds).map_err(|e| e.errno);
+        prop_assert_eq!(fs.counters().snapshot().since(&before).total(), 1);
+        let want = match per_file.iter().position(Result::is_err) {
+            Some(i) => Err(per_file[i].clone().unwrap_err()),
+            None => Ok(per_file.iter().map(|r| r.clone().unwrap()).collect::<Vec<_>>()),
+        };
+        prop_assert_eq!(batch, want, "rels {:?} as {:?}", rels, creds);
+        // The entries `read_file` accepts, batched alone, read the same bytes.
+        let (ok_rels, ok_bodies): (Vec<&str>, Vec<Vec<u8>>) = rels
+            .iter()
+            .zip(per_file)
+            .filter_map(|(r, b)| Some((*r, b.ok()?)))
+            .unzip();
+        prop_assert_eq!(fs.read_batch_at(dir, &ok_rels, &creds).map_err(|e| e.errno), Ok(ok_bodies));
+        fs.close(dir, &Credentials::root()).unwrap();
+    }
+}

@@ -198,3 +198,89 @@ fn warm_view_path_install_budget_via_proc() {
         ]
     );
 }
+
+#[test]
+fn driver_flow_sync_budget_via_proc() {
+    // DESIGN.md §16: the driver's reaction to one flow commit is one sync
+    // — open_dir + readdir + one batched read + close, and the unlink of
+    // a stale `error` file — whatever the number of fields. The mkdir
+    // hook's `version` = 0 commit in the same drained batch adds nothing.
+    // Before, the same pump cost 2·(1 + 4·files) + 1: 35 for k = 1 and
+    // 107 for k = 10.
+    for k in [1usize, 4, 7, 10] {
+        let mut rt = Runtime::new();
+        rt.add_switch_with_driver(1, 4, 1, vec![Version::V1_0], Version::V1_0);
+        rt.pump().unwrap();
+        rt.enable_introspection().unwrap();
+        rt.yfs.write_flow("sw1", "f", &spec_with_fields(k)).unwrap();
+        let fs = rt.yfs.filesystem().clone();
+        let ops = ["total", "open", "readdir", "read", "close", "unlink"];
+        let read = |op: &str| proc_u64(&fs, &format!("/net/.proc/vfs/syscalls/{op}"));
+        let before: Vec<u64> = ops.iter().map(|op| read(op)).collect();
+        rt.pump().unwrap();
+        let used: Vec<(&str, u64)> = ops
+            .iter()
+            .zip(&before)
+            .map(|(op, b)| (*op, read(op) - b))
+            .collect();
+        assert_eq!(
+            used,
+            vec![
+                ("total", 5),
+                ("open", 1),
+                ("readdir", 1),
+                ("read", 1),
+                ("close", 1),
+                ("unlink", 1)
+            ],
+            "driver sync of a flow with {k} match fields"
+        );
+        assert_eq!(rt.net.switches[&1].flow_count(), 1);
+    }
+}
+
+#[test]
+fn packet_out_drain_budget_via_proc() {
+    // DESIGN.md §16: a `packet_out` drain is open + fstat + pread + close
+    // and copies only the appended bytes, whether the file is empty or
+    // already holds 60 KiB of consumed lines.
+    let mut rt = Runtime::new();
+    rt.add_switch_with_driver(1, 4, 1, vec![Version::V1_0], Version::V1_0);
+    rt.pump().unwrap();
+    rt.enable_introspection().unwrap();
+    let fs = rt.yfs.filesystem().clone();
+    let root = Credentials::root();
+    let path = "/net/switches/sw1/packet_out";
+    let line = format!(
+        "buffer=none in_port=1 out=2 data={}\n",
+        yanc::hex_encode(&[0xab; 60])
+    );
+    let drain = |rt: &mut Runtime, append: &[u8]| -> Vec<(&'static str, u64)> {
+        fs.append_file(path, append, &root).unwrap();
+        let ops = ["total", "open", "fstat", "read", "close"];
+        let read = |op: &str| proc_u64(&fs, &format!("/net/.proc/vfs/syscalls/{op}"));
+        let before: Vec<u64> = ops.iter().map(|op| read(op)).collect();
+        rt.pump().unwrap();
+        ops.iter()
+            .zip(&before)
+            .map(|(op, b)| (*op, read(op) - b))
+            .collect()
+    };
+    let four = vec![
+        ("total", 4),
+        ("open", 1),
+        ("fstat", 1),
+        ("read", 1),
+        ("close", 1),
+    ];
+    assert_eq!(drain(&mut rt, b""), four, "empty file");
+    let bulk = line.repeat(60 * 1024 / line.len());
+    assert_eq!(drain(&mut rt, bulk.as_bytes()), four, "60 KiB appended");
+    let size = fs.stat(path, &root).unwrap().size;
+    assert!(size >= 59 * 1024, "{size} bytes");
+    assert_eq!(
+        drain(&mut rt, line.as_bytes()),
+        four,
+        "one line after 60 KiB"
+    );
+}
